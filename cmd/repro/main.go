@@ -34,6 +34,7 @@
 //	repro [-quick] [-serial] [-parallel N] [-block N] [-timing] [-stats]
 //	      [-cache-dir DIR] [-store-url URL] [-store-token T] [-gc SPEC]
 //	      [-shard i/n] [-out DIR] [item ...]
+//	repro [-quick] [-stats] [-cache-dir DIR] ... -scenario FILE
 //
 // Items: table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6
 // fig7 fig8 fig9 reduction stack. Default: all.
@@ -67,7 +68,6 @@ func main() {
 	shardSpec := flag.String("shard", "", "run only shard i of n visible items, as i/n (0-based); cooperating shards share a store and merge byte-identically")
 	stats := flag.Bool("stats", false, "print artifact-store and recomputation probes to stderr")
 	block := flag.Int("block", 0, "trace-replay block size in instructions (0 = default); output is byte-identical for every size")
-	engineFlag := flag.String("engine", "", "miss-ratio sweep engine: stackdist (single-pass, default) or replay (concrete-cache oracle); output is byte-identical for both")
 	scenarioFile := flag.String("scenario", "", `run one ad-hoc scenario spec (JSON file, "-" for stdin) instead of paper items; the rendered bytes go to stdout`)
 	memQuota := flag.String("mem-quota", "", `bound the in-process artifact cache: size, idle age and/or kind=size, comma-separated ("256MB", "256MB,scenario-render=64MB")`)
 	flag.Parse()
@@ -98,13 +98,7 @@ func main() {
 		fatal(err)
 	}
 
-	engine, err := experiments.ParseSweepEngine(*engineFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	sess := experiments.NewSession(opt)
-	sess.Engine = engine
 	sess.Parallelism = *parallel
 	sess.BlockSize = *block
 	if *cacheDir != "" || *storeURL != "" {
@@ -127,8 +121,8 @@ func main() {
 		// write exactly the rendered bytes — the same bytes reprod
 		// serves for the same spec against the same store, which the
 		// serving CI job diffs.
-		if len(sel) > 0 {
-			fatal(fmt.Errorf("-scenario and item selection are mutually exclusive"))
+		if err := scenarioConflict(sel, *outDir, *shardSpec); err != nil {
+			fatal(err)
 		}
 		var raw []byte
 		if *scenarioFile == "-" {
@@ -229,11 +223,25 @@ func main() {
 	}
 }
 
+// scenarioConflict rejects the flags -scenario would otherwise ignore:
+// the scenario renders once to stdout, so item selection, per-item
+// -out files and -shard partitions have nothing to act on.
+func scenarioConflict(items []string, outDir, shard string) error {
+	switch {
+	case len(items) > 0:
+		return fmt.Errorf("-scenario and item selection are mutually exclusive")
+	case outDir != "":
+		return fmt.Errorf("-scenario writes to stdout; -out does not apply")
+	case shard != "":
+		return fmt.Errorf("-scenario runs one scenario whole; -shard does not apply")
+	}
+	return nil
+}
+
 func printStats(sess *experiments.Session) {
 	ss := sess.ArtifactStore().Stats()
-	fmt.Fprintf(os.Stderr, "repro: trace passes: %d (stackdist %d, replay %d); profile runs: %d; dataset generations: %d; unit renders: %d\n",
-		sess.TracePasses(), sess.StackDistPasses(), sess.ReplayPasses(),
-		sess.ProfileRuns(), datagen.Generations(), sess.Renders())
+	fmt.Fprintf(os.Stderr, "repro: trace passes: %d; profile runs: %d; dataset generations: %d; unit renders: %d\n",
+		sess.TracePasses(), sess.ProfileRuns(), datagen.Generations(), sess.Renders())
 	fmt.Fprintf(os.Stderr, "repro: store: %d fills, %d memory hits, %d backend hits, %d backend discards, %d prefetched\n",
 		ss.Fills, ss.MemHits, ss.BackendHits, ss.BackendDiscards, ss.Prefetched)
 }

@@ -51,7 +51,6 @@ func main() {
 	shardSpec := flag.String("shard", "", "profile only slice i of n (as i/n, 0-based) into the store and skip the reduction; a later run without -shard merges")
 	parallel := flag.Int("parallel", 0, "bound concurrent profiling runs (0 = GOMAXPROCS)")
 	block := flag.Int("block", 0, "trace-replay block size in instructions (0 = default); output is byte-identical for every size")
-	engineFlag := flag.String("engine", "", "miss-ratio sweep engine for any sweep fill this session runs: stackdist (default) or replay; byte-identical either way")
 	memQuota := flag.String("mem-quota", "", `bound the in-process artifact cache: size, idle age and/or kind=size, comma-separated ("256MB", "256MB,profile=128MB")`)
 	flag.Parse()
 
@@ -68,15 +67,9 @@ func main() {
 
 	// One budget for every session cache, so shard fills, reps fills
 	// and roster fills share per-workload artifacts at this budget.
-	engine, err := experiments.ParseSweepEngine(*engineFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	sess := experiments.NewSession(experiments.Options{
 		Budget: *budget, SweepBudget: *budget, RosterBudget: *budget,
 	})
-	sess.Engine = engine
 	sess.Parallelism = *parallel
 	sess.BlockSize = *block
 	gcSweep, err := artifact.GCSweeper(*cacheDir, *gcSpec)

@@ -5,13 +5,26 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/artifact"
+	"repro/internal/sim/machine"
 	"repro/internal/workloads"
 )
 
+// replayCurves is the concrete-cache oracle: one machine.Sweep trace
+// pass for one geometry, bypassing the session and its store.
+func replayCurves(t *testing.T, w workloads.Workload, budget int64, sizes []int, ways, lineBytes int) machine.Curves {
+	t.Helper()
+	sw, err := machine.NewSweepSpec(sizes, ways, lineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads.Run(w, sw, budget)
+	return sw.Curves()
+}
+
 // TestSweepEnginesByteIdentical is the session-level differential: the
-// stack-distance default and the replay oracle must fill bit-identical
-// curves for every geometry, and each must report its passes on its
-// own counter.
+// session's stack-distance fills must be bit-identical to the
+// concrete-cache replay oracle for every geometry, one trace pass each.
 func TestSweepEnginesByteIdentical(t *testing.T) {
 	opt := tinyOptions()
 	w := workloads.Representative17()[14] // H-WordCount
@@ -24,24 +37,16 @@ func TestSweepEnginesByteIdentical(t *testing.T) {
 		{[]int{16, 64, 256}, 16, 0},
 		{[]int{16, 32}, 2, 128},
 	}
-	sd := NewSession(opt) // default engine
-	rp := NewSession(opt)
-	rp.Engine = EngineReplay
+	sd := NewSession(opt)
 	for _, c := range cases {
 		got := sd.SweepCurvesSpec(w, opt.SweepBudget, c.sizes, c.ways, c.line)
-		want := rp.SweepCurvesSpec(w, opt.SweepBudget, c.sizes, c.ways, c.line)
+		want := replayCurves(t, w, opt.SweepBudget, c.sizes, c.ways, c.line)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("ways=%d line=%d: engines disagree\nstackdist %+v\nreplay    %+v", c.ways, c.line, got, want)
+			t.Errorf("ways=%d line=%d: stackdist disagrees with replay\nstackdist %+v\nreplay    %+v", c.ways, c.line, got, want)
 		}
 	}
-	if sd.StackDistPasses() != int64(len(cases)) || sd.ReplayPasses() != 0 {
-		t.Errorf("stackdist session counters: stack=%d replay=%d", sd.StackDistPasses(), sd.ReplayPasses())
-	}
-	if rp.ReplayPasses() != int64(len(cases)) || rp.StackDistPasses() != 0 {
-		t.Errorf("replay session counters: stack=%d replay=%d", rp.StackDistPasses(), rp.ReplayPasses())
-	}
-	if sd.TracePasses() != sd.StackDistPasses() || rp.TracePasses() != rp.ReplayPasses() {
-		t.Error("TracePasses is not the per-engine sum")
+	if sd.TracePasses() != int64(len(cases)) {
+		t.Errorf("session cost %d trace passes, want %d", sd.TracePasses(), len(cases))
 	}
 }
 
@@ -61,10 +66,8 @@ func TestSweepCurvesMultiOnePass(t *testing.T) {
 	if got := s.TracePasses(); got != 1 {
 		t.Fatalf("multi-geometry fill cost %d trace passes, want 1", got)
 	}
-	rp := NewSession(opt)
-	rp.Engine = EngineReplay
 	for i, ways := range waysList {
-		if want := rp.SweepCurvesSpec(w, opt.SweepBudget, sizes, ways, 0); !reflect.DeepEqual(multi[i], want) {
+		if want := replayCurves(t, w, opt.SweepBudget, sizes, ways, 0); !reflect.DeepEqual(multi[i], want) {
 			t.Errorf("ways=%d: multi curves diverge from replay oracle", ways)
 		}
 		// Same keys: the single-geometry accessor must hit warm.
@@ -123,10 +126,11 @@ func TestScenarioWaysSetCanonical(t *testing.T) {
 	}
 }
 
-// TestScenarioWaysSetOnePassByteIdentical runs a multi-associativity
-// scenario under both engines: the served bytes must match exactly,
-// and the stack-distance engine must price the whole geometry set at
-// one trace pass per workload while the oracle pays one per geometry.
+// TestScenarioWaysSetOnePassByteIdentical renders a
+// multi-associativity scenario twice: once from the session's own
+// stack-distance fills, which must price the whole geometry set at one
+// trace pass, and once from a session whose store holds the replay
+// oracle's curves under the same keys. The bytes must match exactly.
 func TestScenarioWaysSetOnePassByteIdentical(t *testing.T) {
 	opt := tinyOptions()
 	spec := Scenario{
@@ -142,22 +146,32 @@ func TestScenarioWaysSetOnePassByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sd.TracePasses() != 1 || sd.StackDistPasses() != 1 {
-		t.Errorf("stackdist scenario cost %d passes (stack %d), want 1",
-			sd.TracePasses(), sd.StackDistPasses())
+	if sd.TracePasses() != 1 {
+		t.Errorf("scenario cost %d trace passes, want 1", sd.TracePasses())
 	}
 
-	rp := NewSession(opt)
-	rp.Engine = EngineReplay
-	want, err := RunScenario(rp, spec)
+	canon, err := spec.Canonical(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.ReplayPasses() != 4 {
-		t.Errorf("replay scenario cost %d replay passes, want 4 (one per geometry)", rp.ReplayPasses())
+	w := scenarioCatalogue()["H-Grep"]
+	oracle := NewSession(opt)
+	for _, ways := range canon.waysList() {
+		curves := replayCurves(t, w, canon.Budget, canon.SizesKB, ways, canon.LineBytes)
+		key := sweepCurvesKey(workloads.Signature(w), canon.Budget, canon.SizesKB, ways, canon.LineBytes)
+		if _, err := artifact.Get(oracle.ArtifactStore(), key, func() (machine.Curves, error) { return curves, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := RunScenario(oracle, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.TracePasses() != 0 {
+		t.Errorf("oracle session re-traced %d times; its curves did not come from replay", oracle.TracePasses())
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("scenario bytes differ between engines:\nstackdist:\n%s\nreplay:\n%s", got, want)
+		t.Fatalf("scenario bytes differ from the replay oracle:\nstackdist:\n%s\nreplay:\n%s", got, want)
 	}
 	if !bytes.Contains(got, []byte("16-way")) || !bytes.Contains(got, []byte("1-way")) {
 		t.Error("rendered scenario missing per-geometry headings")

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -45,36 +44,6 @@ func Quick() Options {
 	return Options{Budget: 400_000, SweepBudget: 200_000, RosterBudget: 150_000}
 }
 
-// SweepEngine selects how a session fills cold sweep curves. The
-// engine is a compute strategy, not an identity: both engines produce
-// bit-identical curves (proven by the differential tests and the CI
-// diff job), so the artefact keys and bytes carry no engine mark and
-// stores warmed by either engine serve the other.
-type SweepEngine string
-
-const (
-	// EngineStackDist is the default: one Mattson stack-distance pass
-	// per workload computes the curves of every requested geometry at
-	// the shared line size (machine.StackSweep).
-	EngineStackDist SweepEngine = "stackdist"
-	// EngineReplay is the concrete-cache block-replay oracle: one
-	// trace pass per geometry through machine.Sweep. Kept as the
-	// escape hatch and the differential baseline.
-	EngineReplay SweepEngine = "replay"
-)
-
-// ParseSweepEngine resolves a -engine flag value; "" selects the
-// default (stackdist).
-func ParseSweepEngine(v string) (SweepEngine, error) {
-	switch SweepEngine(strings.ToLower(strings.TrimSpace(v))) {
-	case "", EngineStackDist:
-		return EngineStackDist, nil
-	case EngineReplay:
-		return EngineReplay, nil
-	}
-	return "", fmt.Errorf("experiments: unknown sweep engine %q (want stackdist or replay)", v)
-}
-
 // Session shares profiled runs and sweep curves between experiments
 // through one uniform fill path: every expensive artefact — a
 // workload's 45-metric profile, its Fig. 6-9 sweep curves, a profiled
@@ -106,8 +75,9 @@ type Session struct {
 	// Parallelism bounds the worker pool of every profiling and sweep
 	// fan-out this session performs (0 = GOMAXPROCS). The Engine's own
 	// Parallelism bounds concurrent experiments; this bounds the work
-	// inside each one — including the per-cache fan-out of block-based
-	// sweep replay (machine.Sweep.Parallelism is threaded from here).
+	// inside each one — including the per-geometry fan-out of a
+	// stack-distance sweep pass (machine.StackSweep.Parallelism is
+	// threaded from here).
 	Parallelism int
 
 	// BlockSize is the trace-replay batch size for every simulation
@@ -122,17 +92,10 @@ type Session struct {
 	// per-session memoization semantics.
 	Store *artifact.Store
 
-	// Engine selects the cold sweep-curve fill strategy ("" =
-	// EngineStackDist). Artefact keys and bytes are engine-independent,
-	// so flipping it never invalidates a warm store.
-	Engine SweepEngine
-
 	storeOnce sync.Once
 	st        *artifact.Store
 
 	tracePasses atomic.Int64
-	stackPasses atomic.Int64
-	replayPass  atomic.Int64
 	profileRuns atomic.Int64
 	renders     atomic.Int64
 }
@@ -354,6 +317,22 @@ type sweepKey struct {
 	Line     int `json:",omitempty"`
 }
 
+// sweepCurvesKey is the store key of one geometry's curves; the
+// modeled defaults fold to zero so every spelling of a geometry shares
+// one artefact.
+func sweepCurvesKey(sig string, budget int64, sizes []int, ways, lineBytes int) artifact.Key {
+	if ways == machine.DefaultSweepWays {
+		ways = 0
+	}
+	if lineBytes == machine.DefaultSweepLineBytes {
+		lineBytes = 0
+	}
+	return artifact.KeyOf("sweep-curves", sweepKey{
+		Workload: sig, Budget: budget, SizesKB: sizes,
+		Ways: ways, Line: lineBytes,
+	})
+}
+
 // SweepCurves returns the memoized Fig. 6-9 cache-sweep curves for one
 // workload at the given budget, tracing the workload at most once per
 // store (and, with a disk store, at most once ever). Concurrent
@@ -384,49 +363,31 @@ func sweepCheck(sizes []int) func(machine.Curves) bool {
 
 // SweepCurvesMulti fills the sweep curves of several associativities
 // (sharing sizes and line size) in one call, returning one Curves per
-// entry of waysList. With the default stack-distance engine every
-// still-cold geometry is computed by a single shared trace pass — the
+// entry of waysList. Every still-cold geometry is computed by a single
+// shared stack-distance trace pass (machine.StackSweep) — the
 // multi-geometry cost model: one pass per workload no matter how many
 // associativities the request sweeps. Each geometry's artefact lives
 // under exactly the key SweepCurvesSpec would use, so single- and
-// multi-geometry requests (and both engines) share artefacts freely.
+// multi-geometry requests share artefacts freely. The curves are
+// bit-identical to concrete-cache replay (machine.Sweep), which the
+// tests keep as the oracle.
 func (s *Session) SweepCurvesMulti(w workloads.Workload, budget int64, sizes []int, waysList []int, lineBytes int) []machine.Curves {
 	if len(waysList) == 0 {
 		panic("experiments: SweepCurvesMulti with no geometries")
 	}
 	sig := workloads.Signature(w)
-	line := lineBytes
-	if line == machine.DefaultSweepLineBytes {
-		line = 0
-	}
 	check := sweepCheck(sizes)
 	keys := make([]artifact.Key, len(waysList))
 	for i, ways := range waysList {
-		if ways == machine.DefaultSweepWays {
-			ways = 0
-		}
-		keys[i] = artifact.KeyOf("sweep-curves", sweepKey{
-			Workload: sig, Budget: budget, SizesKB: sizes,
-			Ways: ways, Line: line,
-		})
+		keys[i] = sweepCurvesKey(sig, budget, sizes, ways, lineBytes)
 	}
 	out := make([]machine.Curves, len(waysList))
 
-	if s.Engine == EngineReplay {
-		// Oracle path: concrete-cache block replay, one trace pass per
-		// geometry (cold ones only — each key still memoizes).
-		for i, ways := range waysList {
-			out[i] = s.replayCurves(keys[i], check, w, budget, sizes, ways, lineBytes)
-		}
-		return out
-	}
-
-	// Stack-distance engine. Peek first so the shared pass covers only
-	// the geometries still cold here, then fill each key under its own
-	// singleflight. The pass runs at most once, lazily, inside the
-	// first fill closure that actually executes — a concurrent session
-	// may win some keys' flights, and whoever computes, the curves are
-	// identical.
+	// Peek first so the shared pass covers only the geometries still
+	// cold here, then fill each key under its own singleflight. The
+	// pass runs at most once, lazily, inside the first fill closure
+	// that actually executes — a concurrent session may win some keys'
+	// flights, and whoever computes, the curves are identical.
 	st := s.ArtifactStore()
 	var missing []int
 	for i := range waysList {
@@ -453,7 +414,6 @@ func (s *Session) SweepCurvesMulti(w workloads.Workload, budget int64, sizes []i
 			return err // aborted: histograms truncated, discard
 		}
 		s.tracePasses.Add(1)
-		s.stackPasses.Add(1)
 		computed = make(map[int]machine.Curves, len(missing))
 		for j, i := range missing {
 			computed[i] = sw.Curves(j)
@@ -474,32 +434,6 @@ func (s *Session) SweepCurvesMulti(w workloads.Workload, budget int64, sizes []i
 	return out
 }
 
-// replayCurves fills one geometry's curves through the concrete-cache
-// replay oracle (the pre-stackdist default, retained verbatim).
-func (s *Session) replayCurves(key artifact.Key, check func(machine.Curves) bool, w workloads.Workload, budget int64, sizes []int, ways, lineBytes int) machine.Curves {
-	return mustFill(artifact.GetChecked(s.ArtifactStore(), key, check,
-		func() (machine.Curves, error) {
-			// Block-based replay: the trace is decoded into packed
-			// access streams once per block and the caches replay
-			// them through a worker pool bounded by s.Parallelism —
-			// bit-identical to the retained serial path, so the store
-			// key needs neither knob.
-			sw, err := machine.NewSweepSpec(sizes, ways, lineBytes)
-			if err != nil {
-				return machine.Curves{}, err
-			}
-			sw.Parallelism = s.Parallelism
-			ctx := s.ctx()
-			sw.Cancel = ctx.Done()
-			if _, err := workloads.RunBlockCtx(ctx, w, sw, budget, s.BlockSize); err != nil {
-				return machine.Curves{}, err // aborted: curves truncated, discard
-			}
-			s.tracePasses.Add(1)
-			s.replayPass.Add(1)
-			return sw.Curves(), nil
-		}))
-}
-
 // primerKeys enumerates the persisted store keys one hidden primer
 // unit will fill — the per-workload profile records or sweep curves
 // behind it. It must mirror the fills the primer actually performs
@@ -517,9 +451,7 @@ func (s *Session) primerKeys(primer string) []artifact.Key {
 	sweeps := func(list []workloads.Workload, budget int64) []artifact.Key {
 		keys := make([]artifact.Key, 0, len(list))
 		for _, w := range list {
-			keys = append(keys, artifact.KeyOf("sweep-curves", sweepKey{
-				Workload: workloads.Signature(w), Budget: budget, SizesKB: machine.DefaultSweepSizesKB,
-			}))
+			keys = append(keys, sweepCurvesKey(workloads.Signature(w), budget, machine.DefaultSweepSizesKB, 0, 0))
 		}
 		return keys
 	}
@@ -552,16 +484,7 @@ func (s *Session) primerKeys(primer string) []artifact.Key {
 // TracePasses reports how many sweep trace passes the session has
 // actually executed — the counting probe behind the "exactly one pass
 // per (workload, budget)" guarantee; a warm-started session reports 0.
-// It is the sum of StackDistPasses and ReplayPasses.
 func (s *Session) TracePasses() int64 { return s.tracePasses.Load() }
-
-// StackDistPasses reports trace passes executed by the stack-distance
-// engine (each pricing every geometry it was asked for at once).
-func (s *Session) StackDistPasses() int64 { return s.stackPasses.Load() }
-
-// ReplayPasses reports trace passes executed by the concrete-cache
-// replay oracle (one per geometry).
-func (s *Session) ReplayPasses() int64 { return s.replayPass.Load() }
 
 // ProfileRuns reports how many profiling runs the session has actually
 // executed (store hits — memory or disk — add nothing); a warm-started

@@ -380,28 +380,26 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"jobs_submitted": st.JobsSubmitted, "jobs_done": st.JobsDone,
 		"jobs_failed": st.JobsFailed, "jobs_canceled": st.JobsCanceled,
 		"trace_passes": st.TracePasses, "profile_runs": st.ProfileRuns,
-		"sweep_stackdist_passes": st.StackDistPasses,
-		"sweep_replay_passes":    st.ReplayPasses,
-		"renders":                st.Renders,
-		"fleet_size":             st.FleetSize,
-		"fleet_proxied":          st.Proxied,
-		"fleet_proxy_fallback":   st.ProxyFallback,
-		"fleet_peer_served":      st.PeerServed,
-		"fleet_loop_guarded":     st.LoopGuarded,
-		"fleet_rerouted":         st.Rerouted,
-		"fleet_proxy_retries":    st.ProxyRetries,
-		"fleet_peer_unhealthy":   st.PeerUnhealthy,
-		"breaker_trips":          st.BreakerTrips,
-		"breaker_probes":         st.BreakerProbes,
-		"breaker_recoveries":     st.BreakerRecoveries,
-		"store_degraded":         boolGauge(st.StoreDegraded),
-		"store_retries":          st.StoreRetries,
-		"store_skipped":          st.StoreSkipped,
-		"events_published":       st.EventsPublished,
-		"events_dropped":         st.EventsDropped,
-		"subscribers":            st.EventSubscribers,
-		"dataset_generations":    datagen.Generations(),
-		"store_fills":            ss.Fills, "store_mem_hits": ss.MemHits,
+		"renders":              st.Renders,
+		"fleet_size":           st.FleetSize,
+		"fleet_proxied":        st.Proxied,
+		"fleet_proxy_fallback": st.ProxyFallback,
+		"fleet_peer_served":    st.PeerServed,
+		"fleet_loop_guarded":   st.LoopGuarded,
+		"fleet_rerouted":       st.Rerouted,
+		"fleet_proxy_retries":  st.ProxyRetries,
+		"fleet_peer_unhealthy": st.PeerUnhealthy,
+		"breaker_trips":        st.BreakerTrips,
+		"breaker_probes":       st.BreakerProbes,
+		"breaker_recoveries":   st.BreakerRecoveries,
+		"store_degraded":       boolGauge(st.StoreDegraded),
+		"store_retries":        st.StoreRetries,
+		"store_skipped":        st.StoreSkipped,
+		"events_published":     st.EventsPublished,
+		"events_dropped":       st.EventsDropped,
+		"subscribers":          st.EventSubscribers,
+		"dataset_generations":  datagen.Generations(),
+		"store_fills":          ss.Fills, "store_mem_hits": ss.MemHits,
 		"store_backend_hits": ss.BackendHits, "store_backend_discards": ss.BackendDiscards,
 		"store_prefetched":       ss.Prefetched,
 		"store_evictions":        ss.Evictions,
@@ -462,8 +460,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"reprod_jobs_failed_total", "Jobs finished with an error.", st.JobsFailed},
 		{"reprod_jobs_canceled_total", "Jobs cancelled (client or shutdown).", st.JobsCanceled},
 		{"reprod_trace_passes_total", "Sweep trace passes executed.", st.TracePasses},
-		{"reprod_sweep_stackdist_passes_total", "Trace passes run by the stack-distance sweep engine.", st.StackDistPasses},
-		{"reprod_sweep_replay_passes_total", "Trace passes run by the concrete-cache replay engine.", st.ReplayPasses},
 		{"reprod_profile_runs_total", "Profiling runs executed.", st.ProfileRuns},
 		{"reprod_renders_total", "Units rendered.", st.Renders},
 		{"reprod_store_fills_total", "Store computations executed.", ss.Fills},

@@ -164,12 +164,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			topics = append(topics, t)
 		}
 	}
+	// Subscribe before the 200 goes out: a client that has seen the
+	// response headers must not miss events emitted right after.
+	sub := s.bus.Subscribe(s.eventBuf(), topics...)
+	defer sub.Close()
 	fl, ok := startSSE(w, r)
 	if !ok {
 		return
 	}
-	sub := s.bus.Subscribe(s.eventBuf(), topics...)
-	defer sub.Close()
 	streamSSE(r.Context(), w, fl, sub, 0, nil)
 }
 

@@ -59,11 +59,6 @@ type Config struct {
 	// Store backs every computation. nil gets a private in-memory
 	// store — still shared across all of this server's requests.
 	Store *artifact.Store
-	// Engine selects the sweep engine every computation uses
-	// (experiments.ParseSweepEngine; "" = stackdist). Engines are
-	// byte-identical, so served artefacts — and their keys — do not
-	// depend on this; only the cost profile does.
-	Engine experiments.SweepEngine
 	// Parallelism bounds the workers inside one computation
 	// (experiments.Session.Parallelism; 0 = GOMAXPROCS).
 	Parallelism int
@@ -134,7 +129,6 @@ type Server struct {
 	jobsSubmitted, jobsDone           atomic.Int64
 	jobsFailed, jobsCanceled          atomic.Int64
 	tracePasses, profileRuns, renders atomic.Int64
-	stackPasses, replayPasses         atomic.Int64
 	proxied, proxyFallback            atomic.Int64
 	peerServed, loopGuarded           atomic.Int64
 	rerouted, proxyRetries            atomic.Int64
@@ -222,7 +216,6 @@ func (s *Server) Store() *artifact.Store { return s.store }
 // store, the request's context.
 func (s *Server) session(ctx context.Context) *experiments.Session {
 	sess := experiments.NewSession(s.cfg.Opt)
-	sess.Engine = s.cfg.Engine
 	sess.Parallelism = s.cfg.Parallelism
 	sess.BlockSize = s.cfg.BlockSize
 	sess.Store = s.store
@@ -235,8 +228,6 @@ func (s *Server) session(ctx context.Context) *experiments.Session {
 // once" and "warm requests simulate nothing".
 func (s *Server) absorb(sess *experiments.Session) {
 	s.tracePasses.Add(sess.TracePasses())
-	s.stackPasses.Add(sess.StackDistPasses())
-	s.replayPasses.Add(sess.ReplayPasses())
 	s.profileRuns.Add(sess.ProfileRuns())
 	s.renders.Add(sess.Renders())
 }
@@ -549,7 +540,6 @@ type Stats struct {
 	JobsSubmitted, JobsDone        int64
 	JobsFailed, JobsCanceled       int64
 	TracePasses, ProfileRuns       int64
-	StackDistPasses, ReplayPasses  int64
 	Renders                        int64
 	// Fleet counters: requests this replica forwarded to a key's home
 	// (Proxied), forwards that failed over to local compute
@@ -604,7 +594,6 @@ func (s *Server) Stats() Stats {
 		JobsSubmitted: s.jobsSubmitted.Load(), JobsDone: s.jobsDone.Load(),
 		JobsFailed: s.jobsFailed.Load(), JobsCanceled: s.jobsCanceled.Load(),
 		TracePasses: s.tracePasses.Load(), ProfileRuns: s.profileRuns.Load(),
-		StackDistPasses: s.stackPasses.Load(), ReplayPasses: s.replayPasses.Load(),
 		Renders: s.renders.Load(),
 		Proxied: s.proxied.Load(), ProxyFallback: s.proxyFallback.Load(),
 		PeerServed: s.peerServed.Load(), LoopGuarded: s.loopGuarded.Load(),

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,8 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/experiments"
+	"repro/internal/sim/machine"
+	"repro/internal/workloads"
 )
 
 // tinyOpt keeps serving tests fast; identity and coalescing hold at
@@ -518,58 +521,61 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 	}
 }
 
-// TestEngineCountersAndMultiGeometryServing pins the escape hatch's
-// observability and cost model: a default (stack-distance) server
-// prices a four-associativity scenario at one trace pass, reported on
-// sweep_stackdist_passes; a -engine=replay server serves the same
-// bytes, pays one pass per geometry, and reports them on
-// sweep_replay_passes.
+// TestEngineCountersAndMultiGeometryServing pins the served cost model
+// and its correctness: a four-associativity scenario costs one trace
+// pass (reported as trace_passes in /v1/stats and /metrics), and the
+// per-geometry curves the server stored are bit-identical to the
+// concrete-cache replay oracle.
 func TestEngineCountersAndMultiGeometryServing(t *testing.T) {
 	spec := `{"name": "multigeo", "workloads": ["H-Grep"], "sizes_kb": [16, 64, 256], "ways_set": [1, 2, 8, 16], "views": ["inst", "data"]}`
-	post := func(ts *httptest.Server) []byte {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(spec))
+	srv, ts := startServer(t, Config{})
+	code, _, served := postScenario(t, ts.URL, spec)
+	if code != http.StatusOK {
+		t.Fatalf("scenario: %d: %s", code, served)
+	}
+	if st := srv.Stats(); st.TracePasses != 1 {
+		t.Fatalf("server cost %d trace passes, want 1", st.TracePasses)
+	}
+
+	// Read the stored curves back through a fresh session on the
+	// server's store: every geometry must be warm and match replay.
+	opt := tinyOpt()
+	sizes := []int{16, 64, 256}
+	var w workloads.Workload
+	for _, r := range workloads.Roster77() {
+		if r.ID == "H-Grep" {
+			w = r
+		}
+	}
+	sess := experiments.NewSession(opt)
+	sess.Store = srv.Store()
+	for _, ways := range []int{1, 2, 8, 16} {
+		got := sess.SweepCurvesSpec(w, opt.SweepBudget, sizes, ways, 0)
+		sw, err := machine.NewSweepSpec(sizes, ways, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("scenario: %d: %s", resp.StatusCode, b)
+		workloads.Run(w, sw, opt.SweepBudget)
+		if want := sw.Curves(); !reflect.DeepEqual(got, want) {
+			t.Errorf("ways=%d: served curves diverge from replay oracle\nserved %+v\nreplay %+v", ways, got, want)
 		}
-		return b
+	}
+	if sess.TracePasses() != 0 {
+		t.Fatalf("stored curves missing: readback cost %d trace passes", sess.TracePasses())
 	}
 
-	sd, sdTS := startServer(t, Config{})
-	sdBytes := post(sdTS)
-	if st := sd.Stats(); st.TracePasses != 1 || st.StackDistPasses != 1 || st.ReplayPasses != 0 {
-		t.Fatalf("stackdist server passes: trace %d stackdist %d replay %d, want 1/1/0",
-			st.TracePasses, st.StackDistPasses, st.ReplayPasses)
-	}
-
-	rp, rpTS := startServer(t, Config{Engine: experiments.EngineReplay})
-	rpBytes := post(rpTS)
-	if st := rp.Stats(); st.ReplayPasses != 4 || st.StackDistPasses != 0 {
-		t.Fatalf("replay server passes: stackdist %d replay %d, want 0/4",
-			st.StackDistPasses, st.ReplayPasses)
-	}
-	if !bytes.Equal(sdBytes, rpBytes) {
-		t.Fatal("engines served different scenario bytes")
-	}
-
-	_, _, b := get(t, sdTS.URL+"/v1/stats")
+	_, _, b := get(t, ts.URL+"/v1/stats")
 	var stats map[string]any
 	if err := json.Unmarshal(b, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats["sweep_stackdist_passes"] != float64(1) || stats["sweep_replay_passes"] != float64(0) {
-		t.Fatalf("stats JSON counters off: %v", stats)
+	if stats["trace_passes"] != float64(1) {
+		t.Fatalf("stats JSON trace_passes = %v, want 1", stats["trace_passes"])
 	}
-	_, _, mb := get(t, rpTS.URL+"/metrics")
+	_, _, mb := get(t, ts.URL+"/metrics")
 	for _, family := range []string{
-		"# TYPE reprod_sweep_stackdist_passes_total counter",
-		"reprod_sweep_replay_passes_total 4",
-		"reprod_sweep_stackdist_passes_total 0",
+		"# TYPE reprod_trace_passes_total counter",
+		"reprod_trace_passes_total 1",
 	} {
 		if !strings.Contains(string(mb), family) {
 			t.Errorf("metrics missing %q", family)

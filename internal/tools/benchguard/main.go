@@ -9,8 +9,9 @@
 //	    -ratio 'BenchmarkSweepFiguresBlocked<=0.5*BenchmarkSweepFiguresSerial'
 //
 // Regression is measured on ns/op (current/baseline - 1). Benchmark
-// names are normalized by stripping the -GOMAXPROCS suffix, so runs
-// from machines with different core counts compare. A matched baseline
+// names are normalized by stripping the -GOMAXPROCS suffix (when every
+// name in a file carries the same one), so runs from machines with
+// different core counts compare. A matched baseline
 // benchmark missing from the current run fails too (a rename must
 // update the baseline); benchmarks only in the current run are listed
 // but don't fail. When the machine legitimately changes or the
@@ -19,7 +20,8 @@
 //
 // -ratio adds hardware-independent assertions evaluated *within* the
 // current run (comma-separated "A<=F*B" terms: benchmark A's ns/op
-// must be at most F times benchmark B's). Cross-machine baselines
+// must be at most F times benchmark B's; A and B are normalized names,
+// written without any -GOMAXPROCS suffix). Cross-machine baselines
 // drift with runner hardware; a within-run ratio — e.g. "the blocked
 // figure path is at least twice the serial path's throughput" — holds
 // on any machine.
@@ -47,12 +49,27 @@ type envelope struct {
 	Benchmarks []result          `json:"benchmarks"`
 }
 
-// normalize strips the -N GOMAXPROCS suffix go test appends on
-// multi-proc machines.
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
-func normalize(name string) string { return procSuffix.ReplaceAllString(name, "") }
+// procCount returns the -N GOMAXPROCS suffix go test appends to every
+// benchmark name on a multi-proc machine, or "" for a 1-proc run. A
+// suffix counts only when every name carries the same one: a trailing
+// -N that differs between names (sub-benchmarks like geoms-1 and
+// geoms-4 on a 1-proc run) is part of the names themselves.
+func procCount(rs []result) string {
+	if len(rs) == 0 {
+		return ""
+	}
+	suffix := procSuffix.FindString(rs[0].Name)
+	for _, r := range rs[1:] {
+		if procSuffix.FindString(r.Name) != suffix {
+			return ""
+		}
+	}
+	return suffix
+}
 
+// load reads a bench2json file keyed by normalized benchmark name.
 func load(path string) (map[string]result, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -62,9 +79,10 @@ func load(path string) (map[string]result, error) {
 	if err := json.Unmarshal(b, &env); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	suffix := procCount(env.Benchmarks)
 	out := make(map[string]result, len(env.Benchmarks))
 	for _, r := range env.Benchmarks {
-		out[normalize(r.Name)] = r
+		out[strings.TrimSuffix(r.Name, suffix)] = r
 	}
 	return out, nil
 }
@@ -150,8 +168,8 @@ func checkRatio(term string, current map[string]result) bool {
 	if err != nil {
 		fatal(err)
 	}
-	a, okA := current[normalize(m[1])]
-	b, okB := current[normalize(m[3])]
+	a, okA := current[m[1]]
+	b, okB := current[m[3]]
 	if !okA || !okB {
 		fmt.Printf("FAIL ratio %s: benchmark missing from current run\n", term)
 		return false
