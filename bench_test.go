@@ -355,9 +355,11 @@ func BenchmarkSweepStackDist(b *testing.B) {
 
 // BenchmarkSweepMultiGeometry prices geometry count under the
 // stack-distance engine: one pass answering 1 vs 4 associativities
-// over the default size ladder. Extra geometries only add per-set
-// stacks (more histogram buckets, same trace work), so geoms-4 must
-// scale near-flat relative to geoms-1 — the benchguard ratio pins it.
+// over the default size ladder. Extra geometries only add set counts
+// to each view's set-refinement chain, and a set count with a swept
+// divisor replays only the records that divisor did not prove MRU
+// (same trace work), so geoms-4 must scale near-flat relative to
+// geoms-1 — the benchguard ratio pins it.
 func BenchmarkSweepMultiGeometry(b *testing.B) {
 	w := Representative17()[14] // H-WordCount
 	geoms := []machine.SweepGeometry{

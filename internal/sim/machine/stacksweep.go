@@ -2,7 +2,9 @@ package machine
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 
 	"repro/internal/sim/cache"
 	"repro/internal/sim/isa"
@@ -36,11 +38,15 @@ type SweepGeometry struct {
 // remains the differential oracle proving that.
 //
 // Like Sweep it implements both trace.Probe (serial reference) and
-// trace.BlockProbe (the hot path, with the per-(view, set count)
-// accumulators fanned out across the shared replay pool).
+// trace.BlockProbe (the hot path). On the block path each view's
+// accumulators form one set-refinement chain in ascending set count: a
+// set count whose divisor parent is also swept replays only the
+// records the parent did not prove MRU (stackdist.Stack.AccessBlock)
+// and folds the rest as depth-0 hits. The three view chains fan out
+// across the shared replay pool.
 type StackSweep struct {
-	// Parallelism bounds the per-accumulator fan-out of block replay,
-	// exactly as Sweep.Parallelism does for caches.
+	// Parallelism bounds the per-view chain fan-out of block replay,
+	// as Sweep.Parallelism does for caches.
 	Parallelism int
 
 	// Cancel, when non-nil, makes InstBlock drain without accounting
@@ -53,13 +59,25 @@ type StackSweep struct {
 	geoms     []SweepGeometry
 	lineBytes int
 
-	setCounts []int
-	depths    []int // per set count: the max ways any geometry reads at it
+	setCounts []int // ascending
 	setIdx    map[int]int
-	istacks   []*stackdist.Stack
-	dstacks   []*stackdist.Stack
-	ustacks   []*stackdist.Stack
+	// parent[k] is the index of the largest smaller set count dividing
+	// setCounts[k], or -1: the stack whose kept records k replays.
+	parent []int
+
+	// stacks[v][k] accumulates view v (viewInst, viewData, viewUnified)
+	// at setCounts[k]; kept[v][k] holds the records it kept from the
+	// current block, reused across blocks.
+	stacks [3][]*stackdist.Stack
+	kept   [3][][]cache.Rec
 }
+
+// The three sweep views, indexing StackSweep.stacks.
+const (
+	viewInst = iota
+	viewData
+	viewUnified
+)
 
 // NewStackSweep builds a single-pass sweep over any number of
 // geometries sharing one line size. Ways and lineBytes of 0 select the
@@ -84,6 +102,7 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 		blockDecoder: blockDecoder{lineShift: shift},
 		setIdx:       map[int]int{},
 	}
+	depths := map[int]int{} // set count -> deepest associativity read at it
 	for _, g := range geoms {
 		if g.Ways == 0 {
 			g.Ways = DefaultSweepWays
@@ -102,22 +121,26 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 			// a depth-1 stack (one compare per access), which is what
 			// keeps many-geometry passes near-flat.
 			sets := (kb << 10) / (g.Ways * lineBytes)
-			if idx, ok := s.setIdx[sets]; ok {
-				if g.Ways > s.depths[idx] {
-					s.depths[idx] = g.Ways
-				}
-			} else {
-				s.setIdx[sets] = len(s.setCounts)
-				s.setCounts = append(s.setCounts, sets)
-				s.depths = append(s.depths, g.Ways)
-			}
+			depths[sets] = max(depths[sets], g.Ways)
 		}
 		s.geoms = append(s.geoms, g)
 	}
-	for i, sets := range s.setCounts {
-		s.istacks = append(s.istacks, stackdist.New(sets, s.depths[i]))
-		s.dstacks = append(s.dstacks, stackdist.New(sets, s.depths[i]))
-		s.ustacks = append(s.ustacks, stackdist.New(sets, s.depths[i]))
+	s.setCounts = slices.Sorted(maps.Keys(depths))
+	for k, sets := range s.setCounts {
+		s.setIdx[sets] = k
+		s.parent = append(s.parent, -1)
+		for p := k - 1; p >= 0; p-- {
+			if sets%s.setCounts[p] == 0 {
+				s.parent[k] = p
+				break
+			}
+		}
+		for v := range s.stacks {
+			s.stacks[v] = append(s.stacks[v], stackdist.New(sets, depths[sets]))
+		}
+	}
+	for v := range s.kept {
+		s.kept[v] = make([][]cache.Rec, len(s.setCounts))
 	}
 	return s, nil
 }
@@ -127,32 +150,33 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 func (s *StackSweep) Geometries() []SweepGeometry { return s.geoms }
 
 // Inst implements trace.Probe — the serial reference, accounting every
-// access inline with the same I-line dedup Sweep.Inst applies. Run
-// merging is a block-path packing detail; the per-access and packed
-// forms accumulate identical histograms (a merged repeat is a depth-0
-// hit by construction).
+// access inline at every set count with the same I-line dedup
+// Sweep.Inst applies (no set-refinement filter). Run merging is a
+// block-path packing detail; the per-access and packed forms
+// accumulate identical histograms (a merged repeat is a depth-0 hit by
+// construction).
 func (s *StackSweep) Inst(i *isa.Inst) {
 	if line := i.PC >> s.lineShift; line != s.lastILine {
 		s.lastILine = line
-		for k := range s.istacks {
-			s.istacks[k].Access(line, 0)
-			s.ustacks[k].Access(line, 0)
+		for k := range s.setCounts {
+			s.stacks[viewInst][k].Access(line, 0)
+			s.stacks[viewUnified][k].Access(line, 0)
 		}
 	}
 	if i.Op == isa.Load || i.Op == isa.Store {
 		line := i.Addr >> s.lineShift
-		for k := range s.dstacks {
-			s.dstacks[k].Access(line, 0)
-			s.ustacks[k].Access(line, 0)
+		for k := range s.setCounts {
+			s.stacks[viewData][k].Access(line, 0)
+			s.stacks[viewUnified][k].Access(line, 0)
 		}
 	}
 }
 
 // InstBlock implements trace.BlockProbe: decode once (shared with
-// Sweep), then replay the three streams into every set count's
-// accumulators. Each accumulator is owned by exactly one worker and
-// the streams are read-only during the fan-out, so any schedule
-// produces the same histograms.
+// Sweep), then replay each view's stream down its set-refinement
+// chain. Each chain — its stacks and kept buffers — is owned by
+// exactly one worker and the streams are read-only during the fan-out
+// of the 3 chains, so any schedule produces the same histograms.
 func (s *StackSweep) InstBlock(block []isa.Inst) {
 	if s.Cancel != nil {
 		select {
@@ -162,35 +186,44 @@ func (s *StackSweep) InstBlock(block []isa.Inst) {
 		}
 	}
 	s.decode(block)
-	iRecs, dRecs, uRecs := s.iRecs, s.dRecs, s.uRecs
+	streams := [3][]cache.Rec{viewInst: s.iRecs, viewData: s.dRecs, viewUnified: s.uRecs}
 
-	n := len(s.istacks)
 	par := s.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par == 1 || n == 1 {
-		for k := 0; k < n; k++ {
-			s.istacks[k].AccessBlock(iRecs)
-		}
-		for k := 0; k < n; k++ {
-			s.dstacks[k].AccessBlock(dRecs)
-		}
-		for k := 0; k < n; k++ {
-			s.ustacks[k].AccessBlock(uRecs)
+	if par == 1 {
+		for v := range streams {
+			s.replayChain(v, streams[v])
 		}
 		return
 	}
-	sharedReplayPool().ForEachN(par, 3*n, func(k int) {
-		switch k / n {
-		case 0:
-			s.istacks[k%n].AccessBlock(iRecs)
-		case 1:
-			s.dstacks[k%n].AccessBlock(dRecs)
-		default:
-			s.ustacks[k%n].AccessBlock(uRecs)
-		}
+	sharedReplayPool().ForEachN(par, len(streams), func(v int) {
+		s.replayChain(v, streams[v])
 	})
+}
+
+// replayChain replays one view's block stream through its stacks in
+// ascending set count. A set count without a swept divisor replays the
+// whole stream; any other replays its parent's kept records and folds
+// the block's remaining accesses as depth-0 hits. setCounts[0] never
+// has a parent, so its access delta is the block's access total.
+func (s *StackSweep) replayChain(v int, recs []cache.Rec) {
+	stacks, kept := s.stacks[v], s.kept[v]
+	var total uint64
+	for k, st := range stacks {
+		in, p := recs, s.parent[k]
+		if p >= 0 {
+			in = kept[p]
+		}
+		before := st.Accesses()
+		kept[k] = st.AccessBlock(in, kept[k][:0])
+		if k == 0 {
+			total = st.Accesses() - before
+		} else if p >= 0 {
+			st.Fold(total - (st.Accesses() - before))
+		}
+	}
 }
 
 // Curves derives geometry g's three miss-ratio views from the
@@ -206,9 +239,9 @@ func (s *StackSweep) Curves(g int) Curves {
 	}
 	for j, kb := range geom.SizesKB {
 		idx := s.setIdx[(kb<<10)/(geom.Ways*s.lineBytes)]
-		out.Inst[j] = s.istacks[idx].MissRatio(geom.Ways)
-		out.Data[j] = s.dstacks[idx].MissRatio(geom.Ways)
-		out.Unified[j] = s.ustacks[idx].MissRatio(geom.Ways)
+		out.Inst[j] = s.stacks[viewInst][idx].MissRatio(geom.Ways)
+		out.Data[j] = s.stacks[viewData][idx].MissRatio(geom.Ways)
+		out.Unified[j] = s.stacks[viewUnified][idx].MissRatio(geom.Ways)
 	}
 	return out
 }

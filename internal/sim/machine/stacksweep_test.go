@@ -183,9 +183,50 @@ func TestStackSweepCancelDrainsBlocks(t *testing.T) {
 	ss.Cancel = ctx.Done()
 	cancel()
 	workloads.Run(workloads.Representative17()[4], ss, 50_000)
-	for _, st := range ss.istacks {
+	for _, st := range ss.stacks[viewInst] {
 		if st.Accesses() != 0 {
 			t.Fatalf("cancelled stack sweep still accounted %d accesses", st.Accesses())
 		}
+	}
+}
+
+// TestStackSweepRefinementParents pins the set-refinement tree: set
+// counts ascend, each one's parent is the largest smaller swept set
+// count dividing it (none when no swept set count divides it), and the
+// filtered chains still match the concrete-cache oracle. At 16 ways
+// and 64-byte lines a size of N KB has N sets.
+func TestStackSweepRefinementParents(t *testing.T) {
+	sizes := []int{96, 3, 16, 12, 4, 6}
+	ss, err := NewStackSweep(0, SweepGeometry{SizesKB: sizes, Ways: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parents := map[int]int{}
+	for k, sets := range ss.setCounts {
+		parents[sets] = -1
+		if p := ss.parent[k]; p >= 0 {
+			parents[sets] = ss.setCounts[p]
+		}
+	}
+	if want := []int{3, 4, 6, 12, 16, 96}; !reflect.DeepEqual(ss.setCounts, want) {
+		t.Fatalf("set counts %v, want %v", ss.setCounts, want)
+	}
+	want := map[int]int{3: -1, 4: -1, 6: 3, 12: 6, 16: 4, 96: 16}
+	if !reflect.DeepEqual(parents, want) {
+		t.Fatalf("parents %v, want %v", parents, want)
+	}
+
+	w := workloads.Representative17()[4] // S-WordCount
+	const budget = 60_000
+	ss.Parallelism = 2
+	workloads.Run(w, ss, budget)
+	ref, err := NewSweepSpec(sizes, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Parallelism = 1
+	workloads.Run(w, ref, budget)
+	if got := ss.Curves(0); !reflect.DeepEqual(got, ref.Curves()) {
+		t.Errorf("refinement-tree curves diverge from replay\n got %+v\nwant %+v", got, ref.Curves())
 	}
 }

@@ -38,8 +38,10 @@ const compressBytes = 1 << 19
 // at most depth ways would see. One Stack therefore answers Misses(W)
 // for every W in [1, depth].
 //
-// A Stack is not safe for concurrent use; sweeps give every (view, set
-// count) pair its own Stack and fan those out instead.
+// A Stack is not safe for concurrent use. Sweeps give every (view, set
+// count) pair its own Stack and chain a view's Stacks through one
+// worker: a set count replays only the records its divisor parent kept
+// (see AccessBlock) and Folds the rest.
 type Stack struct {
 	sets  uint64
 	depth int
@@ -63,9 +65,11 @@ type Stack struct {
 	compress bool
 
 	// Grouping scratch, reused across blocks: next chains records of
-	// the same set in stream order; tab/tabGen is an epoch-stamped
-	// open-addressing map from set to group index.
+	// the same set in stream order; mru flags the records whose head
+	// was an MRU hit; tab/tabGen is an epoch-stamped open-addressing
+	// map from set to group index.
 	next   []int32
+	mru    []bool
 	groups []group
 	tab    []int32
 	tabGen []uint32
@@ -118,13 +122,14 @@ func (s *Stack) Access(line, run uint64) {
 	s.access(s.slab[base:base+depth], line, run)
 }
 
-// access replays one record against a single set's stack st.
-func (s *Stack) access(st []uint64, line, run uint64) {
+// access replays one record against a single set's stack st and
+// reports whether its head was an MRU hit (depth 0, no state change).
+func (s *Stack) access(st []uint64, line, run uint64) bool {
 	tag := line + 1
 	s.accesses += run + 1
 	if st[0] == tag {
 		s.hist[0] += run + 1
-		return
+		return true
 	}
 	s.hist[0] += run
 	prev := st[0]
@@ -143,34 +148,56 @@ func (s *Stack) access(st []uint64, line, run uint64) {
 		prev = cur
 	}
 	s.hist[d]++
+	return false
 }
 
-// AccessBlock replays one block's packed records. For large slabs the
-// records are first grouped by set (order within a set preserved) —
-// per-set LRU state depends only on that set's subsequence and the
-// histogram is a commutative sum, so the totals are identical to the
-// in-order replay for every input.
-func (s *Stack) AccessBlock(recs []cache.Rec) {
+// AccessBlock replays one block's packed records and appends to keep,
+// in stream order, every record whose head was not an MRU hit; it
+// returns the extended slice. For large slabs the records are first
+// grouped by set (order within a set preserved) — per-set LRU state
+// depends only on that set's subsequence and the histogram is a
+// commutative sum, so the totals are identical to the in-order replay
+// for every input.
+//
+// The kept records are all a finer set count needs (Hill & Smith's set
+// refinement): when this Stack's set count S divides S′, x mod S′
+// fixes x mod S, so every S′-set holds a subset of one S-set's lines
+// in the same recency order. A record whose line is MRU in its S-set
+// is therefore MRU in its S′-set too — at S′ a depth-0 hit with no
+// state change. Replaying only the kept records at S′ and folding the
+// block's other accesses in with Fold yields exactly the histogram of
+// the full stream.
+func (s *Stack) AccessBlock(recs, keep []cache.Rec) []cache.Rec {
 	if len(recs) == 0 {
-		return
+		return keep
 	}
 	if s.compress && len(recs) > 1 {
-		s.accessGrouped(recs)
-		return
+		return s.accessGrouped(recs, keep)
 	}
 	depth := uint64(s.depth)
 	for _, rec := range recs {
 		line := cache.RecLine(rec)
 		base := s.setOf(line) * depth
-		s.access(s.slab[base:base+depth], line, cache.RecRun(rec))
+		if !s.access(s.slab[base:base+depth], line, cache.RecRun(rec)) {
+			keep = append(keep, rec)
+		}
 	}
+	return keep
+}
+
+// Fold credits n accesses as depth-0 hits without touching any set:
+// the accesses a coarser divisor Stack proved MRU (see AccessBlock).
+func (s *Stack) Fold(n uint64) {
+	s.accesses += n
+	s.hist[0] += n
 }
 
 // accessGrouped is the compressed large-slab path: chain the block's
 // records per set, then drain set by set so each per-set stack is
 // loaded once per block instead of once per record, with same-line
-// repeats inside the block folding through the MRU fast path.
-func (s *Stack) accessGrouped(recs []cache.Rec) {
+// repeats inside the block folding through the MRU fast path. The
+// per-record MRU flags then compact the kept records in stream order.
+func (s *Stack) accessGrouped(recs, keep []cache.Rec) []cache.Rec {
 	need := 1
 	for need < 2*len(recs) {
 		need <<= 1
@@ -190,8 +217,9 @@ func (s *Stack) accessGrouped(recs []cache.Rec) {
 	mask := uint32(len(s.tab) - 1)
 	if cap(s.next) < len(recs) {
 		s.next = make([]int32, len(recs))
+		s.mru = make([]bool, len(recs))
 	}
-	next := s.next[:len(recs)]
+	next, mru := s.next[:len(recs)], s.mru[:len(recs)]
 	s.groups = s.groups[:0]
 	for i, rec := range recs {
 		next[i] = -1
@@ -219,9 +247,15 @@ func (s *Stack) accessGrouped(recs []cache.Rec) {
 		st := s.slab[base : base+depth]
 		for idx := g.head; idx >= 0; idx = next[idx] {
 			rec := recs[idx]
-			s.access(st, cache.RecLine(rec), cache.RecRun(rec))
+			mru[idx] = s.access(st, cache.RecLine(rec), cache.RecRun(rec))
 		}
 	}
+	for i, rec := range recs {
+		if !mru[i] {
+			keep = append(keep, rec)
+		}
+	}
+	return keep
 }
 
 // Accesses returns the total accesses recorded (merged runs included).

@@ -55,7 +55,7 @@ func TestStackMatchesCache(t *testing.T) {
 		for _, depth := range []int{1, 2, 16} {
 			s := New(sets, depth)
 			for _, b := range blocks {
-				s.AccessBlock(b)
+				s.AccessBlock(b, nil)
 			}
 			for ways := 1; ways <= depth; ways++ {
 				wantA, wantM := replayCache(sets, ways, blocks)
@@ -92,8 +92,8 @@ func TestGroupedMatchesInOrder(t *testing.T) {
 				if end > len(stream) {
 					end = len(stream)
 				}
-				plain.AccessBlock(stream[off:end])
-				grouped.AccessBlock(stream[off:end])
+				plain.AccessBlock(stream[off:end], nil)
+				grouped.AccessBlock(stream[off:end], nil)
 			}
 		}
 		if plain.Accesses() != grouped.Accesses() {
@@ -118,7 +118,7 @@ func TestMergedRuns(t *testing.T) {
 			t.Fatal("merge failed")
 		}
 	}
-	s.AccessBlock([]cache.Rec{rec})
+	s.AccessBlock([]cache.Rec{rec}, nil)
 	if s.Accesses() != 10 {
 		t.Fatalf("accesses %d, want 10", s.Accesses())
 	}
@@ -136,7 +136,7 @@ func TestMergedRuns(t *testing.T) {
 func TestHistogramShape(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	s := New(128, 16)
-	s.AccessBlock(synthStream(r, 30000, 1<<14))
+	s.AccessBlock(synthStream(r, 30000, 1<<14), nil)
 	prev := s.Accesses() + 1
 	for ways := 1; ways <= 16; ways++ {
 		m := s.Misses(ways)
@@ -162,7 +162,7 @@ func TestAccessMatchesAccessBlock(t *testing.T) {
 	for _, rec := range stream {
 		a.Access(cache.RecLine(rec), cache.RecRun(rec))
 	}
-	b.AccessBlock(stream)
+	b.AccessBlock(stream, nil)
 	if a.Accesses() != b.Accesses() {
 		t.Fatalf("accesses %d vs %d", a.Accesses(), b.Accesses())
 	}
