@@ -17,16 +17,13 @@ import (
 	"repro/internal/experiments"
 )
 
-// The v1 HTTP surface. Every resource lives under /v1; legacy
-// unversioned paths 308-redirect to their v1 home (308 preserves the
-// method and body, so redirect-following clients keep working through
-// POST /scenarios and POST /jobs).
+// The v1 HTTP surface. Every resource lives under /v1.
 //
 //	GET    /v1/units/{unit}   one paper unit, rendered text (fig6, table2, ...)
 //	POST   /v1/scenarios      ad-hoc scenario spec (JSON body) → rendered text
 //	POST   /v1/jobs           {"units": [...], "scenarios": [...]} → {"id": ...}
 //	GET    /v1/jobs           paginated summaries: ?state= ?limit= ?cursor=
-//	GET    /v1/jobs/{id}      state, timings, inline results, error
+//	GET    /v1/jobs/{id}      state, timings, results (store, else recomputed), error
 //	DELETE /v1/jobs/{id}      cancel (queued or running)
 //	GET    /v1/jobs/{id}/events  SSE: backlog replay + live lifecycle events
 //	GET    /v1/events         SSE firehose, ?topics= filter (engine, flight, store, fleet, job/*)
@@ -100,20 +97,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		io.WriteString(w, reason+"\n")
 	})
-	for _, p := range []string{"/units/", "/scenarios", "/jobs", "/jobs/", "/stats"} {
-		mux.HandleFunc(p, redirectV1)
-	}
 	return mux
-}
-
-// redirectV1 sends a legacy unversioned path to its /v1 home with a
-// 308: permanent, method- and body-preserving.
-func redirectV1(w http.ResponseWriter, r *http.Request) {
-	target := "/v1" + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	http.Redirect(w, r, target, http.StatusPermanentRedirect)
 }
 
 // respond writes rendered bytes with provenance headers — the id the
@@ -181,11 +165,7 @@ func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	b, joined, err := s.flights.do(r.Context(), key.ID(), func(fctx context.Context) ([]byte, error) {
-		return s.compute(fctx, key.ID(), func(sess *experiments.Session) ([]byte, error) {
-			return s.renderUnit(fctx, sess, unit, s.engineEvents)
-		})
-	})
+	b, joined, err := s.fill(r.Context(), target{key: key, unit: unit})
 	s.finish(w, key.ID(), joined, b, err)
 }
 
@@ -240,11 +220,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	b, joined, err := s.flights.do(r.Context(), key.ID(), func(fctx context.Context) ([]byte, error) {
-		return s.compute(fctx, key.ID(), func(sess *experiments.Session) ([]byte, error) {
-			return experiments.RunScenario(sess, canon)
-		})
-	})
+	b, joined, err := s.fill(r.Context(), target{key: key, scen: canon})
 	s.finish(w, key.ID(), joined, b, err)
 }
 
@@ -316,14 +292,24 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		// Scenarios are validated now (a bad spec fails the submit, not
-		// the poll) but canonicalized again at run time; Canonical is
-		// deterministic, so the two agree.
-		for _, spec := range req.Scenarios {
-			if _, err := spec.Canonical(s.cfg.Opt); err != nil {
+		// Scenarios are validated and canonicalized now (a bad spec
+		// fails the submit, not the poll). Result names must be unique:
+		// each names the one key its bytes are read or recomputed under.
+		names := map[string]bool{}
+		for i, spec := range req.Scenarios {
+			canon, err := spec.Canonical(s.cfg.Opt)
+			if err != nil {
 				writeErr(w, http.StatusBadRequest, "invalid_scenario", err.Error(), "")
 				return
 			}
+			name := scenarioName(i, canon)
+			if names[name] {
+				writeErr(w, http.StatusBadRequest, "invalid_job",
+					fmt.Sprintf("two scenarios report as %q; give each a distinct name", "scenario:"+name), "")
+				return
+			}
+			names[name] = true
+			req.Scenarios[i] = canon
 		}
 		j := s.jobs.add(req)
 		s.jobsSubmitted.Add(1)

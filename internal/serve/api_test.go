@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/artifact"
+	"repro/internal/experiments"
 )
 
 // errEnvelope decodes the v1 error body.
@@ -40,6 +43,12 @@ func TestErrorEnvelope(t *testing.T) {
 		{http.MethodPost, "/v1/jobs", `{}`, http.StatusBadRequest, "invalid_job"},
 		{http.MethodPost, "/v1/jobs", `{"units": ["fig99"]}`, http.StatusBadRequest, "unknown_unit"},
 		{http.MethodPost, "/v1/jobs", "garbage", http.StatusBadRequest, "bad_body"},
+		// Two scenarios reporting under one result name: equal names,
+		// or a name equal to another spec's positional fallback.
+		{http.MethodPost, "/v1/jobs", `{"scenarios": [{"name": "a", "workloads": ["H-Grep"], "sizes_kb": [16]},
+			{"name": "a", "workloads": ["H-Grep"], "sizes_kb": [64]}]}`, http.StatusBadRequest, "invalid_job"},
+		{http.MethodPost, "/v1/jobs", `{"scenarios": [{"name": "scenario-2", "workloads": ["H-Grep"], "sizes_kb": [16]},
+			{"workloads": ["H-Grep"], "sizes_kb": [64]}]}`, http.StatusBadRequest, "invalid_job"},
 		{http.MethodGet, "/v1/jobs/job-99999999", "", http.StatusNotFound, "unknown_job"},
 		{http.MethodGet, "/v1/jobs?state=flying", "", http.StatusBadRequest, "invalid_query"},
 		{http.MethodGet, "/v1/jobs?limit=0", "", http.StatusBadRequest, "invalid_query"},
@@ -75,58 +84,13 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestLegacyPathsRedirect pins the migration contract: every
-// unversioned path 308s to its /v1 home, and — because 308 preserves
-// method and body — a redirect-following client keeps working through
-// POSTs unchanged.
-func TestLegacyPathsRedirect(t *testing.T) {
-	srv, ts := startServer(t, Config{})
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	for _, c := range []struct{ path, want string }{
-		{"/units/fig6", "/v1/units/fig6"},
-		{"/scenarios", "/v1/scenarios"},
-		{"/jobs", "/v1/jobs"},
-		{"/jobs/job-00000001", "/v1/jobs/job-00000001"},
-		{"/stats", "/v1/stats"},
-		{"/jobs?state=done&limit=5", "/v1/jobs?state=done&limit=5"},
-	} {
-		resp, err := noFollow.Get(ts.URL + c.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Fatalf("GET %s: %d, want 308", c.path, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != c.want {
-			t.Fatalf("GET %s: Location %q, want %q", c.path, loc, c.want)
-		}
-	}
-
-	// A stock client POSTing a scenario to the legacy path follows the
-	// 308 with its body intact and gets the rendered result.
-	resp, err := http.Post(ts.URL+"/scenarios", "application/json",
-		strings.NewReader(`{"workloads": ["H-Grep"], "sizes_kb": [16]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(b) == 0 {
-		t.Fatalf("legacy POST through redirect: %d: %s", resp.StatusCode, b)
-	}
-	if st := srv.Stats(); st.ScenarioRequests != 1 || st.Computes != 1 {
-		t.Fatalf("redirected POST did not reach v1: %+v", st)
-	}
-}
-
 // seedJobs plants n terminal jobs directly in the set (no computation)
-// with alternating done/failed states, returning their ids oldest
+// with alternating done/failed states, each recording a table1 result
+// whose bytes are seeded into the store, returning their ids oldest
 // first.
 func seedJobs(srv *Server, n int) []string {
+	key := experiments.UnitRenderKey(srv.cfg.Opt, "table1")
+	artifact.Get(srv.store, key, func() ([]byte, error) { return []byte("data"), nil })
 	ids := make([]string, n)
 	for i := 0; i < n; i++ {
 		j := srv.jobs.add(JobRequest{Units: []string{"table1"}})
@@ -138,7 +102,7 @@ func seedJobs(srv *Server, n int) []string {
 		}
 		j.finished = time.Now()
 		j.timings = []UnitTiming{{Unit: "table1", Ms: 1, Status: "ok"}}
-		j.results = map[string]string{"table1": "data"}
+		j.results = map[string]target{"table1": {key: key, unit: "table1"}}
 		j.mu.Unlock()
 		srv.jobs.wg.Done()
 		ids[i] = j.id
@@ -220,67 +184,41 @@ func TestJobsPagination(t *testing.T) {
 	// Full detail still lives at the per-job endpoint.
 	code, _, b := get(t, ts.URL+"/v1/jobs/"+ids[0])
 	var st JobStatus
-	if code != http.StatusOK || json.Unmarshal(b, &st) != nil || len(st.Results) == 0 {
+	if code != http.StatusOK || json.Unmarshal(b, &st) != nil || st.Results["table1"] != "data" {
 		t.Fatalf("job detail: %d: %s", code, b)
 	}
 }
 
-// TestJobResultsRecoveredPastCap pins the eviction-survival contract
-// for inline results: renders dropped from the retained record by the
-// per-job cap are transparently re-inlined from the store at GET time,
-// so GET /v1/jobs/{id} serves full results (and no truncation flag) as
-// long as the artefacts are fetchable — with the retained record
-// itself staying tiny.
+// TestJobResultsRecoveredPastCap pins job results past the memory
+// tier's cap: with a persistence backend behind a store squeezed so
+// hard its memory tier holds nothing, GET /v1/jobs/{id} reads every
+// result back from the backend — byte-identical to /v1/units and
+// /v1/scenarios, and without recomputing anything.
 func TestJobResultsRecoveredPastCap(t *testing.T) {
-	srv, ts := startServer(t, Config{Parallelism: 2, MaxJobResultBytes: 1})
-	body := `{"units": ["table2"], "scenarios": [{"name": "capped", "workloads": ["H-Grep"], "sizes_kb": [16, 64]}]}`
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	st, err := artifact.NewDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, _ := io.ReadAll(resp.Body)
+	srv, ts := startServer(t, Config{Parallelism: 2, Store: st, MemQuota: artifact.MemQuota{MaxBytes: 1}})
+	scen := `{"name": "capped", "workloads": ["H-Grep"], "sizes_kb": [16, 64]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"units": ["table2"], "scenarios": [`+scen+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub struct{ ID string }
+	json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
-	var idResp struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(ack, &idResp); err != nil || idResp.ID == "" {
-		t.Fatalf("submit ack %q: %v", ack, err)
-	}
+	waitJobState(t, ts.URL, sub.ID, JobDone)
 
+	computes := srv.Stats().Computes
+	_, _, b := get(t, ts.URL+"/v1/jobs/"+sub.ID)
 	var status JobStatus
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		_, _, b := get(t, ts.URL+"/v1/jobs/"+idResp.ID)
-		if err := json.Unmarshal(b, &status); err != nil {
-			t.Fatal(err)
-		}
-		if status.State == JobDone || status.State == JobFailed || status.State == JobCanceled {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", status.State)
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := json.Unmarshal(b, &status); err != nil {
+		t.Fatal(err)
 	}
-	if status.State != JobDone {
-		t.Fatalf("job finished %s (%s)", status.State, status.Error)
-	}
-
-	// The retained record dropped everything (1-byte cap)...
-	j, ok := srv.jobs.get(idResp.ID)
-	if !ok {
-		t.Fatal("job vanished")
-	}
-	j.mu.Lock()
-	retained, dropped := len(j.results), j.resultsDroppd
-	j.mu.Unlock()
-	if retained != 0 || !dropped {
-		t.Fatalf("cap not exercised: %d retained, dropped=%v", retained, dropped)
-	}
-
-	// ...yet the API response recovered both renders from the store.
-	if status.ResultsTruncated {
-		t.Fatalf("results truncated despite store recovery: %v", keysOf(status.Results))
+	if got := srv.Stats().Computes; got != computes {
+		t.Fatalf("reading results recomputed: computes %d -> %d", computes, got)
 	}
 	if len(status.Results) != 2 {
 		t.Fatalf("want 2 recovered results, got %d: %v", len(status.Results), keysOf(status.Results))
@@ -292,7 +230,16 @@ func TestJobResultsRecoveredPastCap(t *testing.T) {
 	if status.Results["table2"] != string(unitBytes) {
 		t.Fatal("recovered unit result differs from /v1/units/table2")
 	}
-	if len(status.Results["scenario:capped"]) == 0 {
-		t.Fatal("recovered scenario result empty")
+	resp, err = http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(scen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenBytes, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if status.Results["scenario:capped"] != string(scenBytes) {
+		t.Fatal("recovered scenario result differs from /v1/scenarios")
+	}
+	if got := srv.Stats().Computes; got != computes {
+		t.Fatalf("synchronous re-reads recomputed: computes %d -> %d", computes, got)
 	}
 }

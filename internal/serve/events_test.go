@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/experiments"
 )
 
 // sseMsg is one parsed text/event-stream message.
@@ -353,43 +354,86 @@ func TestJobBacklogReplayBoundary(t *testing.T) {
 	}
 }
 
-// TestJobStatusRecomputesEvictedResults closes the ROADMAP serving
-// gap: a done job's inline result that has been dropped by the result
-// cap AND evicted from the store is recomputed at GET time — the
-// response carries the full result, byte-identical, and clears
-// results_truncated.
+// TestJobStatusRecomputesEvictedResults pins the recompute half of
+// the job-result path: once the store (memory only, no backend) has
+// evicted a job's renders, GET /v1/jobs/{id} recomputes each one under
+// its own key — one compute per result — byte-identical to what the
+// job first served, and the same holds for a failed job's completed
+// renders.
 func TestJobStatusRecomputesEvictedResults(t *testing.T) {
-	srv, ts := startServer(t, Config{Parallelism: 2, MaxJobResultBytes: 1})
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"units":["table2"]}`))
+	srv, ts := startServer(t, Config{Parallelism: 2})
+	scen := `{"name": "evicted", "workloads": ["H-Grep"], "sizes_kb": [16, 64]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"units": ["table2"], "scenarios": [`+scen+`]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sub struct{ ID string }
 	json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
-	waitJobState(t, ts.URL, sub.ID, JobDone)
-
-	// The 1-byte cap dropped the render from the retained record; the
-	// store still has it, so the first GET recovers it warm.
-	st := waitJobState(t, ts.URL, sub.ID, JobDone)
-	want, ok := st.Results["table2"]
-	if !ok || want == "" || st.ResultsTruncated {
-		t.Fatalf("store-backed recovery failed: truncated=%v results=%v", st.ResultsTruncated, st.Results)
+	want := waitJobState(t, ts.URL, sub.ID, JobDone).Results
+	if len(want) != 2 || want["table2"] == "" || want["scenario:evicted"] == "" {
+		t.Fatalf("warm results incomplete: %v", keysOf(want))
 	}
 
-	// Evict everything: a tiny quota clears the memory tier, and there
-	// is no persistence backend — the render is now gone from both the
-	// record and the store. jobStatus must recompute it.
-	srv.Store().SetMemQuota(artifact.MemQuota{MaxBytes: 1})
-	_, _, b := get(t, ts.URL+"/v1/jobs/"+sub.ID)
-	var st2 JobStatus
-	if err := json.Unmarshal(b, &st2); err != nil {
+	// evictAndGet clears the memory tier (a 1-byte quota, then lifted
+	// so recomputed renders stay resident) and reads the job back,
+	// reporting how many computes the read ran.
+	evictAndGet := func() (JobStatus, int64) {
+		srv.Store().SetMemQuota(artifact.MemQuota{MaxBytes: 1})
+		srv.Store().SetMemQuota(artifact.MemQuota{})
+		before := srv.Stats().Computes
+		_, _, b := get(t, ts.URL+"/v1/jobs/"+sub.ID)
+		var st JobStatus
+		if err := json.Unmarshal(b, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st, srv.Stats().Computes - before
+	}
+	check := func(label string) {
+		t.Helper()
+		st, computes := evictAndGet()
+		if computes != 2 {
+			t.Fatalf("%s: read ran %d computes, want 2 (one per result)", label, computes)
+		}
+		for name, b := range want {
+			if st.Results[name] != b {
+				t.Fatalf("%s: recomputed %s differs from the job's original (%d vs %d bytes)",
+					label, name, len(st.Results[name]), len(b))
+			}
+		}
+	}
+	check("done job")
+
+	// The scenario recompute refilled the store under the scenario's
+	// own key: a fresh POST /v1/scenarios is answered warm from exactly
+	// that key, with the job's bytes.
+	var spec Scenario
+	if err := json.Unmarshal([]byte(scen), &spec); err != nil {
 		t.Fatal(err)
 	}
-	if st2.ResultsTruncated {
-		t.Fatal("results_truncated still set after recompute")
+	canon, err := spec.Canonical(srv.cfg.Opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := st2.Results["table2"]; got != want {
-		t.Fatalf("recomputed result differs from original (%d vs %d bytes)", len(got), len(want))
+	resp, err = http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(scen))
+	if err != nil {
+		t.Fatal(err)
 	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if src, key := resp.Header.Get("X-Reprod-Source"), resp.Header.Get("X-Reprod-Key"); src != "warm" || key != experiments.ScenarioKey(canon).ID() {
+		t.Fatalf("fresh POST served %s under %s, want warm under %s", src, key, experiments.ScenarioKey(canon).ID())
+	}
+	if string(body) != want["scenario:evicted"] {
+		t.Fatal("fresh POST /v1/scenarios differs from the job's scenario result")
+	}
+
+	// A failed (or canceled) job records its completed renders the same
+	// way, so they are recomputed just the same.
+	j, _ := srv.jobs.get(sub.ID)
+	j.mu.Lock()
+	j.state, j.errMsg = JobFailed, "a later unit failed"
+	j.mu.Unlock()
+	check("failed job")
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/eventbus"
 )
 
@@ -41,23 +40,23 @@ type JobRequest struct {
 }
 
 // JobStatus is the GET /jobs/{id} body. Results carries each
-// completed unit's (and scenario's) rendered text inline, keyed like
-// Timings' Unit column — the retrieval path that keeps working when
-// the store has since evicted the rendered artefact, and the only one
-// for ad-hoc scenario renders (re-POSTing the spec would otherwise
-// recompute them after an eviction).
+// completed unit's (and scenario's) rendered text, keyed like Timings'
+// Unit column. The job record keeps only the store key of each render
+// and the spec that reproduces it, so Results is read through the
+// store at GET time and recomputed on a miss; a render this response
+// could not produce (the caller left, the compute failed) is absent,
+// and its Timings row still reports how the job ran.
 type JobStatus struct {
-	ID               string            `json:"id"`
-	State            JobState          `json:"state"`
-	Units            []string          `json:"units,omitempty"`
-	Scenarios        int               `json:"scenarios,omitempty"`
-	Created          time.Time         `json:"created"`
-	Started          *time.Time        `json:"started,omitempty"`
-	Finished         *time.Time        `json:"finished,omitempty"`
-	Timings          []UnitTiming      `json:"timings,omitempty"`
-	Results          map[string]string `json:"results,omitempty"`
-	ResultsTruncated bool              `json:"results_truncated,omitempty"`
-	Error            string            `json:"error,omitempty"`
+	ID        string            `json:"id"`
+	State     JobState          `json:"state"`
+	Units     []string          `json:"units,omitempty"`
+	Scenarios int               `json:"scenarios,omitempty"`
+	Created   time.Time         `json:"created"`
+	Started   *time.Time        `json:"started,omitempty"`
+	Finished  *time.Time        `json:"finished,omitempty"`
+	Timings   []UnitTiming      `json:"timings,omitempty"`
+	Results   map[string]string `json:"results,omitempty"`
+	Error     string            `json:"error,omitempty"`
 }
 
 // validJobState reports whether s names a lifecycle state — the
@@ -70,16 +69,6 @@ func validJobState(s JobState) bool {
 	return false
 }
 
-// defaultJobResultBytes caps the rendered bytes one job retains inline
-// (Config.MaxJobResultBytes overrides) — finished jobs are themselves
-// retained (up to maxFinishedJobs), so unbounded per-job results would
-// reopen the memory hole the store quota closes. Renders past the cap
-// are dropped from the retained record (the status notes the
-// truncation, and jobStatus recovers them from the store when still
-// available); every real paper unit and scenario render is a few KB of
-// ASCII, far under it.
-const defaultJobResultBytes = 1 << 20
-
 // job is one asynchronous computation with its cancellation handle.
 type job struct {
 	id  string
@@ -88,16 +77,17 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu            sync.Mutex
-	state         JobState
-	created       time.Time
-	started       time.Time
-	finished      time.Time
-	timings       []UnitTiming
-	results       map[string]string
-	resultKeys    map[string]artifact.Key
-	resultsDroppd bool
-	errMsg        string
+	mu       sync.Mutex
+	state    JobState
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	timings  []UnitTiming
+	// results maps each completed render's result name to its target.
+	// Set once when the job finishes and never mutated after, so a
+	// reader may range over it outside mu.
+	results map[string]target
+	errMsg  string
 
 	// The bounded lifecycle-event backlog GET /v1/jobs/{id}/events
 	// replays before going live. evMu also serializes bus emission for
@@ -117,20 +107,14 @@ func (j *job) eventSnapshot() ([]eventbus.Event, int64) {
 	return append([]eventbus.Event(nil), j.events...), j.eventsDropped
 }
 
-// scenarioSpec finds the submitted scenario behind a job result name
-// (the part after "scenario:"): a spec's own name, or the positional
-// scenario-N fallback unnamed specs are recorded under.
-func (j *job) scenarioSpec(name string) (Scenario, bool) {
-	for i, spec := range j.req.Scenarios {
-		n := spec.Name
-		if n == "" {
-			n = fmt.Sprintf("scenario-%d", i+1)
-		}
-		if n == name {
-			return spec, true
-		}
+// scenarioName is the name a job's i-th scenario reports under (its
+// result and timing key is "scenario:" + name): the spec's own name,
+// or the positional scenario-N fallback for unnamed specs.
+func scenarioName(i int, spec Scenario) string {
+	if spec.Name != "" {
+		return spec.Name
 	}
-	return Scenario{}, false
+	return fmt.Sprintf("scenario-%d", i+1)
 }
 
 func (j *job) status() JobStatus {
@@ -139,16 +123,9 @@ func (j *job) status() JobStatus {
 	st := JobStatus{
 		ID: j.id, State: j.state,
 		Units: j.req.Units, Scenarios: len(j.req.Scenarios),
-		Created:          j.created,
-		Timings:          append([]UnitTiming(nil), j.timings...),
-		ResultsTruncated: j.resultsDroppd,
-		Error:            j.errMsg,
-	}
-	if len(j.results) > 0 {
-		st.Results = make(map[string]string, len(j.results))
-		for k, v := range j.results {
-			st.Results[k] = v
-		}
+		Created: j.created,
+		Timings: append([]UnitTiming(nil), j.timings...),
+		Error:   j.errMsg,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -240,8 +217,8 @@ type JobPage struct {
 // to one lifecycle state ("" = all); limit bounds the page; cursor, a
 // job id from a previous page's NextCursor, resumes strictly after it
 // (ids smaller than the cursor, in the newest-first order). Summaries
-// carry identity and lifecycle only — Timings and Results are stripped,
-// fetched per job at GET /v1/jobs/{id}.
+// carry identity and lifecycle only — Timings are stripped and Results
+// never read, both fetched per job at GET /v1/jobs/{id}.
 func (s *jobSet) page(state JobState, limit int, cursor string) JobPage {
 	s.mu.Lock()
 	all := make([]*job, 0, len(s.jobs))
@@ -262,8 +239,6 @@ func (s *jobSet) page(state JobState, limit int, cursor string) JobPage {
 			continue
 		}
 		st.Timings = nil
-		st.Results = nil
-		st.ResultsTruncated = false
 		page.Jobs = append(page.Jobs, st)
 		if len(page.Jobs) == limit {
 			// More candidates may remain below this id; hand the client

@@ -23,14 +23,15 @@
 //     exactly one computation.
 //   - Async jobs: POST /v1/jobs accepts unit/scenario batches, returns
 //     an id immediately, and GET /v1/jobs/{id} reports state plus
-//     per-unit timing and inline results. Jobs fill the same store, so
-//     finished work is fetched warm through the synchronous endpoints.
+//     per-unit timing and results. Jobs fill the same store and keep
+//     only each render's key, so GET /v1/jobs/{id} reads results the
+//     same way the synchronous endpoints do: store first, recompute on
+//     a miss.
 //
 // The HTTP surface is versioned under /v1 with a uniform JSON error
-// envelope; legacy unversioned paths 308-redirect (see api.go for the
-// wire schema). Shutdown (SIGTERM in cmd/reprod) drains: in-flight
-// requests and running jobs complete, queued jobs are cancelled, new
-// submissions are refused 503.
+// envelope (see api.go for the wire schema). Shutdown (SIGTERM in
+// cmd/reprod) drains: in-flight requests and running jobs complete,
+// queued jobs are cancelled, new submissions are refused 503.
 package serve
 
 import (
@@ -90,11 +91,6 @@ type Config struct {
 	// one request is let through as a half-open probe
 	// (0 = retry.DefaultCooldown).
 	PeerCooldown time.Duration
-	// MaxJobResultBytes caps the rendered bytes one job retains inline
-	// (0 = 1 MB). Results past the cap are dropped from the retained
-	// record but recovered from the store at GET time when still
-	// resident (see jobStatus).
-	MaxJobResultBytes int
 	// EventBuffer sizes each SSE subscriber's event ring
 	// (0 = eventbus.DefaultBuffer). A subscriber that falls behind
 	// sheds its oldest buffered events — the stream carries a `lag`
@@ -105,13 +101,12 @@ type Config struct {
 // Server is the reprod serving core, usable behind any http.Server
 // (cmd/reprod) or httptest (the tests). Construct with New.
 type Server struct {
-	cfg       Config
-	store     *artifact.Store
-	pool      *conc.Pool
-	flights   *flightGroup
-	jobs      *jobSet
-	fleet     *fleet
-	resultCap int
+	cfg     Config
+	store   *artifact.Store
+	pool    *conc.Pool
+	flights *flightGroup
+	jobs    *jobSet
+	fleet   *fleet
 
 	// bus is the live observability fan-out (GET /v1/events). The topic
 	// publishers are pre-bound handles the hot paths gate on — an idle
@@ -149,10 +144,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MemQuota.Enabled() {
 		st.SetMemQuota(cfg.MemQuota)
 	}
-	cap := cfg.MaxJobResultBytes
-	if cap <= 0 {
-		cap = defaultJobResultBytes
-	}
 	bus := eventbus.New()
 	srv := &Server{
 		cfg:          cfg,
@@ -160,7 +151,6 @@ func New(cfg Config) (*Server, error) {
 		pool:         conc.NewPool(cfg.Workers),
 		jobs:         newJobSet(),
 		fleet:        fl,
-		resultCap:    cap,
 		bus:          bus,
 		engineEvents: bus.Topic("engine"),
 		flightEvents: bus.Topic("flight"),
@@ -268,6 +258,29 @@ func (s *Server) compute(ctx context.Context, keyID string, fn func(sess *experi
 	return out, err
 }
 
+// target is one renderable artefact: the store key its bytes live
+// under and the spec that recomputes them — a paper unit by name, or
+// the canonical scenario when unit is "".
+type target struct {
+	key  artifact.Key
+	unit string
+	scen Scenario
+}
+
+// fill computes t's bytes through the flight group on the worker pool:
+// concurrent requests for the key share one computation, which stops
+// only when every waiter has gone (see flightGroup.do).
+func (s *Server) fill(ctx context.Context, t target) (val []byte, joined bool, err error) {
+	return s.flights.do(ctx, t.key.ID(), func(fctx context.Context) ([]byte, error) {
+		return s.compute(fctx, t.key.ID(), func(sess *experiments.Session) ([]byte, error) {
+			if t.unit != "" {
+				return s.renderUnit(fctx, sess, t.unit, s.engineEvents)
+			}
+			return experiments.RunScenario(sess, t.scen)
+		})
+	})
+}
+
 // validUnit reports whether name is a selectable paper unit.
 func validUnit(name string) bool {
 	for _, u := range experiments.VisibleUnitNames() {
@@ -324,25 +337,9 @@ func (s *Server) runJob(j *job) {
 	var timings []UnitTiming
 	var firstErr error
 
-	// Rendered results are retained inline (bounded by the job-result
-	// cap) so GET /v1/jobs/{id} can hand them back even after the
-	// store evicts the artefacts — and at all for ad-hoc scenarios,
-	// which have no /v1/units retrieval path. Each result's store key
-	// is recorded alongside, so a render the cap dropped can still be
-	// recovered from the store at GET time.
-	results := map[string]string{}
-	keys := map[string]artifact.Key{}
-	resultBytes := 0
-	truncated := false
-	keep := func(name string, key artifact.Key, b []byte) {
-		keys[name] = key
-		if resultBytes+len(b) > s.resultCap {
-			truncated = true
-			return
-		}
-		resultBytes += len(b)
-		results[name] = string(b)
-	}
+	// Only each successful render's target is recorded: the bytes are
+	// in the store, and jobStatus reads or recomputes them from there.
+	results := map[string]target{}
 
 	if len(j.req.Units) > 0 {
 		e := &experiments.Engine{Session: sess, Parallelism: s.cfg.Parallelism, Select: j.req.Units, Events: jobSink{s, j}}
@@ -362,23 +359,20 @@ func (s *Server) runJob(j *job) {
 				status = "primer"
 			}
 			if r.Err == nil && !r.Unit.Hidden && r.Artifact != nil {
-				var buf strings.Builder
-				r.Artifact.Render(&buf)
-				keep(r.Unit.Name, experiments.UnitRenderKey(s.cfg.Opt, r.Unit.Name), []byte(buf.String()))
+				results[r.Unit.Name] = target{key: experiments.UnitRenderKey(s.cfg.Opt, r.Unit.Name), unit: r.Unit.Name}
 			}
 			timings = append(timings, UnitTiming{
 				Unit: r.Unit.Name, Ms: float64(r.Elapsed.Microseconds()) / 1000, Status: status,
 			})
 		}
 	}
+	// Scenarios were canonicalized at submit, and their result names
+	// checked unique there.
 	for i, spec := range j.req.Scenarios {
-		name := spec.Name
-		if name == "" {
-			name = fmt.Sprintf("scenario-%d", i+1)
-		}
+		name := scenarioName(i, spec)
 		s.emitJob(j, "scenario_start", map[string]any{"scenario": name})
 		start := time.Now()
-		b, err := experiments.RunScenario(sess, spec)
+		_, err := experiments.RunScenario(sess, spec)
 		status := "ok"
 		if err != nil {
 			status = "error: " + err.Error()
@@ -390,10 +384,7 @@ func (s *Server) runJob(j *job) {
 			"scenario": name, "ms": float64(time.Since(start).Microseconds()) / 1000, "status": status,
 		})
 		if err == nil {
-			// Canonical succeeded at submit time and is deterministic,
-			// so it cannot fail here.
-			canon, _ := spec.Canonical(s.cfg.Opt)
-			keep("scenario:"+name, experiments.ScenarioKey(canon), b)
+			results["scenario:"+name] = target{key: experiments.ScenarioKey(spec), scen: spec}
 		}
 		timings = append(timings, UnitTiming{
 			Unit: "scenario:" + name, Ms: float64(time.Since(start).Microseconds()) / 1000, Status: status,
@@ -404,8 +395,6 @@ func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	j.timings = timings
 	j.results = results
-	j.resultKeys = keys
-	j.resultsDroppd = truncated
 	j.finished = time.Now()
 	terminal := "done"
 	var data map[string]any
@@ -428,84 +417,34 @@ func (s *Server) runJob(j *job) {
 	s.emitJob(j, terminal, data)
 }
 
-// jobStatus returns j's status, recovering inline results the cap
-// dropped: any result absent from the retained record whose rendered
-// bytes are still available to the store (memory tier or backend) is
-// re-inlined into this response — transiently, never re-retained, so
-// the per-job memory bound holds.
-//
-// A result gone from the store too (evicted from a memory-only store)
-// is recomputed for a successfully finished job: every job render is a
-// deterministic function of its recorded spec, so the recomputation —
-// run through the flight group under the caller's context, coalesced
-// with any concurrent request for the same key — reproduces the bytes
-// exactly and refills the store for the next poll. ResultsTruncated
-// stays set only for results this response could not recover (a failed
-// or canceled job's missing renders, or a recompute cut short by ctx).
+// jobStatus returns j's status with Results read through the one
+// result path: each recorded render is peeked from the store, and on a
+// miss recomputed from its target through the flight group under the
+// caller's context — coalesced with any concurrent request for the
+// same key. A target is recorded only for a render that succeeded, and
+// every render is a deterministic function of its spec, so the
+// recompute reproduces the bytes exactly (for failed and canceled jobs
+// too) and refills the store for the next poll. A result that cannot
+// be produced for this response is left out.
 func (s *Server) jobStatus(ctx context.Context, j *job) JobStatus {
 	st := j.status()
-	if !st.ResultsTruncated {
-		return st
-	}
 	j.mu.Lock()
-	keys := make(map[string]artifact.Key, len(j.resultKeys))
-	for name, k := range j.resultKeys {
-		keys[name] = k
-	}
+	results := j.results
 	j.mu.Unlock()
-	missing := false
-	for name, key := range keys {
-		if _, ok := st.Results[name]; ok {
-			continue
-		}
-		b, ok := artifact.Peek[[]byte](s.store, key, nil)
-		if !ok && st.State == JobDone {
-			b, ok = s.recomputeResult(ctx, j, name, key)
-		}
-		if ok {
-			if st.Results == nil {
-				st.Results = map[string]string{}
+	for name, t := range results {
+		b, ok := artifact.Peek[[]byte](s.store, t.key, nil)
+		if !ok {
+			var err error
+			if b, _, err = s.fill(ctx, t); err != nil {
+				continue
 			}
-			st.Results[name] = string(b)
-		} else {
-			missing = true
 		}
+		if st.Results == nil {
+			st.Results = make(map[string]string, len(results))
+		}
+		st.Results[name] = string(b)
 	}
-	st.ResultsTruncated = missing
 	return st
-}
-
-// recomputeResult re-renders one dropped job result from its recorded
-// spec: a paper unit by name, or a scenario looked up in the job's
-// submitted specs. Runs through the flight group so concurrent polls
-// (and synchronous requests for the same key) share one computation.
-func (s *Server) recomputeResult(ctx context.Context, j *job, name string, key artifact.Key) ([]byte, bool) {
-	run := func(fctx context.Context) ([]byte, error) { return nil, fmt.Errorf("unresolvable result %q", name) }
-	if scen, ok := strings.CutPrefix(name, "scenario:"); ok {
-		spec, found := j.scenarioSpec(scen)
-		if !found {
-			return nil, false
-		}
-		canon, err := spec.Canonical(s.cfg.Opt)
-		if err != nil {
-			return nil, false
-		}
-		run = func(fctx context.Context) ([]byte, error) {
-			return s.compute(fctx, key.ID(), func(sess *experiments.Session) ([]byte, error) {
-				return experiments.RunScenario(sess, canon)
-			})
-		}
-	} else if validUnit(name) {
-		run = func(fctx context.Context) ([]byte, error) {
-			return s.compute(fctx, key.ID(), func(sess *experiments.Session) ([]byte, error) {
-				return s.renderUnit(fctx, sess, name, s.engineEvents)
-			})
-		}
-	} else {
-		return nil, false
-	}
-	b, _, err := s.flights.do(ctx, key.ID(), run)
-	return b, err == nil && b != nil
 }
 
 // BeginShutdown starts a drain: new jobs are refused, queued jobs are

@@ -613,12 +613,12 @@ func TestServedBytesStableAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestJobInlineResults pins GET /jobs/{id} carrying rendered bytes:
-// the unit result matches what /units serves, the scenario result
-// matches what /scenarios serves, and nothing is truncated at real
-// render sizes.
+// TestJobInlineResults pins GET /v1/jobs/{id} carrying rendered
+// bytes: the unit result matches what /v1/units serves, the scenario
+// result matches what /v1/scenarios serves, and reading them from a
+// warm store recomputes nothing.
 func TestJobInlineResults(t *testing.T) {
-	_, ts := startServer(t, Config{Parallelism: 2})
+	srv, ts := startServer(t, Config{Parallelism: 2})
 	body := `{"units": ["table2"], "scenarios": [{"name": "inline", "workloads": ["H-Grep"], "sizes_kb": [16, 64]}]}`
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -651,9 +651,6 @@ func TestJobInlineResults(t *testing.T) {
 	if status.State != JobDone {
 		t.Fatalf("job finished %s (%s)", status.State, status.Error)
 	}
-	if status.ResultsTruncated {
-		t.Fatal("small job claims truncated results")
-	}
 	if len(status.Results) != 2 {
 		t.Fatalf("want 2 inline results, got %d: %v", len(status.Results), keysOf(status.Results))
 	}
@@ -679,8 +676,13 @@ func TestJobInlineResults(t *testing.T) {
 	}
 
 	// Hidden primer units carry timings but no inline render.
-	if _, ok := status.Results["dataset-primer"]; ok {
+	if _, ok := status.Results["warm-reps"]; ok {
 		t.Fatal("hidden primer leaked an inline result")
+	}
+	// The job's own session is the only compute: every read above was
+	// answered from the store.
+	if got := srv.Stats().Computes; got != 1 {
+		t.Fatalf("computes = %d, want 1 (the job)", got)
 	}
 }
 
